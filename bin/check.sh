@@ -1,11 +1,13 @@
 #!/bin/sh
 # Repo health check: build, tests, formatting (if ocamlformat is
-# installed) and the smoke runs (trace / breakdown / seeded chaos gate —
-# including the chaos seed battery byte-diffed across domains=1 and
-# domains=4 — / audit; see bin/smoke.sh and bin/chaos.sh). Run from the
-# repo root:
+# installed), then every gate alias — @check (trace / breakdown / seeded
+# chaos gate, including the chaos seed battery byte-diffed across
+# domains=1 and domains=4 / audit; see bin/smoke.sh and bin/chaos.sh),
+# @bench-smoke, @obs-smoke and @bench-gate. The gates run through dune,
+# inside its sandbox, so a script input an alias forgets to declare fails
+# loudly instead of being read from the source tree. Run from the repo
+# root:
 # ./bin/check.sh
-# The same checks are wired as a dune alias: dune build @check
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -23,12 +25,7 @@ else
   echo "== skipping @fmt (ocamlformat not installed)"
 fi
 
-sh bin/smoke.sh _build/default/bin/fractos.exe _build/default/bench/main.exe
-
-sh bin/bench_smoke.sh _build/default/bench/main.exe
-
-sh bin/obs_smoke.sh _build/default/bin/fractos.exe _build/default/bench/main.exe
-
-sh bin/bench_gate.sh _build/default/bin/fractos.exe _build/default/bench/main.exe
+echo "== dune build @check @bench-smoke @obs-smoke @bench-gate"
+dune build @check @bench-smoke @obs-smoke @bench-gate
 
 echo "== OK"

@@ -58,8 +58,6 @@ let pop h =
     Some (top.time, top.seq, top.payload)
   end
 
-let peek_time h = if h.size = 0 then None else Some (get h 0).time
-
 let clear h =
   Array.fill h.arr 0 h.size None;
   h.size <- 0

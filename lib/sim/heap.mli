@@ -23,8 +23,5 @@ val pop : 'a t -> (int * int * 'a) option
 (** [pop h] removes and returns the minimum entry as [(time, seq, payload)],
     or [None] if the heap is empty. *)
 
-val peek_time : 'a t -> int option
-(** Time key of the minimum entry, without removing it. *)
-
 val clear : 'a t -> unit
 (** Remove all entries. *)

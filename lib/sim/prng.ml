@@ -17,20 +17,6 @@ let split t =
   let seed = int64 t in
   { state = seed }
 
-(* Decorrelated per-shard stream: state = mix(seed + (id+1) * gamma), a
-   pure function of (seed, id). Unlike [split], deriving stream [i] does
-   not advance any parent generator, so shard i's draws are independent of
-   how many sibling streams exist — the property the sharded engine needs
-   for results to be invariant across shard layouts. *)
-let stream ~seed ~id =
-  if id < 0 then invalid_arg "Prng.stream: id must be non-negative";
-  {
-    state =
-      mix
-        (Int64.add (Int64.of_int seed)
-           (Int64.mul (Int64.of_int (id + 1)) golden_gamma));
-  }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* Rejection-free for our purposes: modulo bias is negligible for 62-bit

@@ -16,12 +16,6 @@ val split : t -> t
     Use this to give each workload/fiber its own stream so that adding a
     consumer does not perturb the draws seen by others. *)
 
-val stream : seed:int -> id:int -> t
-(** [stream ~seed ~id] is a decorrelated generator that is a pure function
-    of [(seed, id)] — deriving stream [i] does not advance any parent
-    state, so per-shard streams are independent of the shard count and of
-    each other. [id] must be non-negative. *)
-
 val int64 : t -> int64
 (** Next raw 64-bit draw. *)
 
