@@ -78,6 +78,19 @@ let meta_json ~seeds ~knobs () =
     (Sim.Domains.recommended ())
     (String.concat ", " knobs)
 
+(* Write a sweep's JSON to [path], else to [default] (the committed
+   BENCH_<exp>.json) for a full run. A --tiny run without an explicit
+   path writes nothing, so it never overwrites the committed full sweep. *)
+let save_json ~tiny ~default path contents =
+  match (path, tiny) with
+  | None, true -> Format.printf "[--tiny: no JSON written without a path]@."
+  | _ ->
+    let path = Option.value path ~default in
+    let oc = open_out path in
+    output_string oc contents;
+    close_out oc;
+    Format.printf "[wrote %s]@." path
+
 let current_slug = ref "untitled"
 let table_counter = ref 0
 

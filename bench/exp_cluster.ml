@@ -12,11 +12,12 @@
    invoke costs roughly one extra op on each of the two controllers, so
    at 1-in-32 each controller carries ~1.06x its client rate) — the headline
    is that the knee still scales: at 4 shards the aggregate knee goodput
-   must be >= 3x the single-controller knee (asserted by @bench-smoke and
-   gated against bench/baselines/cluster_tiny.json by @bench-gate).
+   must be >= 3x the single-controller knee (validated by `fractos gate`
+   and gated against bench/baselines/cluster_tiny.json by @bench-gate).
 
-   Results go to stdout and to a machine-readable JSON file (default
-   BENCH_cluster.json; see EXPERIMENTS.md for the schema). *)
+   Results go to stdout and to a machine-readable JSON file
+   (BENCH_cluster.json for a full run; see EXPERIMENTS.md for the
+   schema). *)
 
 open Fractos_sim
 module Config = Fractos_net.Config
@@ -28,10 +29,11 @@ module Loadgen = Fractos_workloads.Loadgen
 let name = "cluster"
 
 (* Set from bench/main.ml flags: --tiny shrinks the sweep for the
-   @bench-smoke / @bench-gate aliases; --cluster-json overrides the
-   output path. *)
+   @bench-gate alias; --cluster-json PATH names the output file. A full run
+   writes BENCH_cluster.json by default; a --tiny run writes only to an
+   explicit PATH. *)
 let tiny = ref false
-let json_path = ref "BENCH_cluster.json"
+let json_path : string option ref = ref None
 
 (* The PR 4 fast-path knee knobs (batching + translation cache on a
    bounded queue), plus shard placement: fresh Memory objects and derived
@@ -173,7 +175,7 @@ let saturation_point ~shards ~rate ~n =
 let knee points = List.fold_left (fun m p -> Float.max m p.pt_goodput) 0. points
 
 (* Hand-rolled JSON, same style as exp_loadcurve. *)
-let write_json sweeps path =
+let write_json sweeps =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf
@@ -216,10 +218,8 @@ let write_json sweeps path =
            (if i = List.length sweeps - 1 then "" else ",")))
     sweeps;
   Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "[wrote %s]@." path
+  Bench_util.save_json ~tiny:!tiny ~default:"BENCH_cluster.json" !json_path
+    (Buffer.contents buf)
 
 let run () =
   Bench_util.section
@@ -261,4 +261,4 @@ let run () =
       (knee one /. 1e3) (knee four /. 1e3)
       (if knee one > 0. then knee four /. knee one else 0.)
   | _ -> ());
-  write_json sweeps !json_path
+  write_json sweeps

@@ -30,9 +30,11 @@ let name = "copybw"
 let ok_exn = Error.ok_exn
 
 (* Set from bench/main.ml flags: --tiny shrinks the sweep for the
-   @bench-smoke alias; --copybw-json overrides the output path. *)
+   @bench-gate alias; --copybw-json PATH names the output file. A full run
+   writes BENCH_copybw.json by default; a --tiny run writes only to an
+   explicit PATH. *)
 let tiny = ref false
-let json_path = ref "BENCH_copybw.json"
+let json_path : string option ref = ref None
 
 let gbit = 1_000_000_000
 let headline_size = 1 lsl 20
@@ -144,7 +146,7 @@ let fs_points () =
 
 (* Hand-rolled JSON (no JSON library in the image), same style as the
    loadcurve export. *)
-let write_json ~points ~fs ~headline path =
+let write_json ~points ~fs ~headline () =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf
@@ -189,10 +191,8 @@ let write_json ~points ~fs ~headline path =
        headline_size headline_net (fst headline_engine) (snd headline_engine)
        serial.p_gbps pipelined.p_gbps
        (if serial.p_gbps > 0. then pipelined.p_gbps /. serial.p_gbps else 0.));
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "[wrote %s]@." path
+  Bench_util.save_json ~tiny:!tiny ~default:"BENCH_copybw.json" !json_path
+    (Buffer.contents buf)
 
 let run () =
   Bench_util.section
@@ -259,4 +259,4 @@ let run () =
       "[both stacks move bulk data via third-party memory_copy and inherit \
        part of the win, bounded by the NVMe device model]@."
   end;
-  write_json ~points ~fs ~headline:(serial, pipelined) !json_path
+  write_json ~points ~fs ~headline:(serial, pipelined) ()

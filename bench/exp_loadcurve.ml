@@ -28,9 +28,11 @@ module E = E2e_common
 let name = "loadcurve"
 
 (* Set from bench/main.ml flags: --tiny shrinks the sweep for the
-   @bench-smoke alias; --loadcurve-json overrides the output path. *)
+   @bench-gate alias; --loadcurve-json PATH names the output file. A full run
+   writes BENCH_loadcurve.json by default; a --tiny run writes only to an
+   explicit PATH. *)
 let tiny = ref false
-let json_path = ref "BENCH_loadcurve.json"
+let json_path : string option ref = ref None
 
 (* --top: render a live Obs.Dashboard (stderr) during every saturation
    run. The dashboard fiber only reads the metrics registry, so the
@@ -206,7 +208,7 @@ let json_of_variant buf ~vname ~fast points =
     points;
   Buffer.add_string buf "      ]\n    }"
 
-let write_json ~off ~on path =
+let write_json ~off ~on () =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf
@@ -226,10 +228,8 @@ let write_json ~off ~on path =
   Buffer.add_string buf ",\n";
   json_of_variant buf ~vname:"fastpath-on" ~fast:true on;
   Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "[wrote %s]@." path
+  Bench_util.save_json ~tiny:!tiny ~default:"BENCH_loadcurve.json" !json_path
+    (Buffer.contents buf)
 
 let run_saturation_sweep () =
   Bench_util.section
@@ -266,7 +266,7 @@ let run_saturation_sweep () =
     "[knee goodput: %.0fk req/s off -> %.0fk req/s on (batching + \
      translation cache)]@."
     (best off /. 1e3) (best on /. 1e3);
-  write_json ~off ~on !json_path
+  write_json ~off ~on ()
 
 let run () =
   if not !tiny then run_service_curve ();

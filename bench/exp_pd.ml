@@ -8,12 +8,12 @@
    instance runs prefill + decode back to back with the KV state resident.
    The headline: the disaggregation tax is the KV hop (split TTFT tracks
    unified TTFT plus the copy), and goodput scales with decode count
-   because the roles saturate independently — @bench-smoke asserts both,
-   and @bench-gate pins the per-point goodputs against
-   bench/baselines/pd_tiny.json.
+   because the roles saturate independently — `fractos gate` validates
+   both (Obs.Gate.validate), and @bench-gate pins the per-point goodputs
+   against bench/baselines/pd_tiny.json.
 
-   Results go to stdout and to a machine-readable JSON file (default
-   BENCH_pd.json; see EXPERIMENTS.md for the schema). *)
+   Results go to stdout and to a machine-readable JSON file (BENCH_pd.json
+   for a full run; see EXPERIMENTS.md for the schema). *)
 
 open Fractos_sim
 module Config = Fractos_net.Config
@@ -25,10 +25,11 @@ module Retry = Fractos_fault.Retry
 let name = "pd"
 
 (* Set from bench/main.ml flags: --tiny shrinks the sweep for the
-   @bench-smoke / @bench-gate aliases; --pd-json overrides the output
-   path. *)
+   @bench-gate alias; --pd-json PATH names the output file. A full run
+   writes BENCH_pd.json by default; a --tiny run writes only to an
+   explicit PATH. *)
 let tiny = ref false
-let json_path = ref "BENCH_pd.json"
+let json_path : string option ref = ref None
 
 (* Every request mints KV Memory objects on the instance pools (prefill
    registers the KV state, decode registers its pulled copy), so a long
@@ -138,7 +139,7 @@ let measure ~split ~decodes ~kv_len ~n =
       })
 
 (* Hand-rolled JSON, same style as exp_cluster. *)
-let write_json points path =
+let write_json points =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf
@@ -172,10 +173,8 @@ let write_json points path =
            (if i = List.length points - 1 then "" else ",")))
     points;
   Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "[wrote %s]@." path
+  Bench_util.save_json ~tiny:!tiny ~default:"BENCH_pd.json" !json_path
+    (Buffer.contents buf)
 
 let run () =
   Bench_util.section
@@ -232,4 +231,4 @@ let run () =
        else 0.)
       s1.pt_goodput sd.pt_goodput dmax
   | _ -> ());
-  write_json points !json_path
+  write_json points

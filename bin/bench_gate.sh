@@ -1,13 +1,21 @@
 #!/bin/sh
-# Perf regression gate (the @bench-gate dune alias):
-# - run both benches in --tiny mode (seed-deterministic, seconds of
-#   wall clock) and check their headline metrics against the committed
-#   baselines in bench/baselines/ with `fractos gate`: knee goodput per
-#   loadcurve variant, serial/pipelined bandwidth and speedup for the
-#   copy path, each within the baseline's embedded tolerance;
-# - negative self-test: emit a deliberately inflated baseline
-#   (--emit --scale 1.3) and prove the gate FAILS against it — a gate
-#   that cannot fail guards nothing.
+# Bench gate (the @bench-gate dune alias), the one place the --tiny
+# sweeps run:
+# - run all four benches (loadcurve, copybw, cluster, pd) in --tiny mode
+#   (seed-deterministic, seconds of wall clock). `fractos gate` validates
+#   each fresh JSON (schema, seeds, orderings, request accounting and
+#   the headline floors; see Obs.Gate.validate), then checks its
+#   headline metrics against the committed baselines in
+#   bench/baselines/: knee goodput per loadcurve variant,
+#   serial/pipelined bandwidth and speedup for the copy path, knee
+#   goodput per shard count, goodput per pd point, each within the
+#   baseline's embedded tolerance;
+# - negative self-tests — a gate that cannot fail guards nothing:
+#   the gate must FAIL against a deliberately inflated baseline
+#   (--emit --scale 1.3), and on a copybw file whose speedup is below
+#   the 2x floor although within the baseline's tolerance;
+# - a --tiny run given no JSON path must write no BENCH_*.json, so it
+#   cannot overwrite the committed full sweep.
 # To refresh baselines after an intentional perf change, see
 # "Updating the perf baselines" in HACKING.md.
 #   bin/bench_gate.sh <fractos.exe> <bench-main.exe> [baseline-dir]
@@ -20,29 +28,18 @@ baselines=${3:-bench/baselines}
 tmp=$(mktemp -d /tmp/fractos-bench-gate.XXXXXX)
 trap 'rm -rf "$tmp"' EXIT
 
-lc="$tmp/BENCH_loadcurve.json"
-cb="$tmp/BENCH_copybw.json"
-cl="$tmp/BENCH_cluster.json"
-pd="$tmp/BENCH_pd.json"
-
 echo "== bench-gate: producing fresh --tiny bench JSON"
-"$bench" loadcurve --tiny --no-bechamel --loadcurve-json "$lc" >/dev/null
-"$bench" copybw --tiny --no-bechamel --copybw-json "$cb" >/dev/null
-"$bench" cluster --tiny --no-bechamel --cluster-json "$cl" >/dev/null
-"$bench" pd --tiny --no-bechamel --pd-json "$pd" >/dev/null
+for exp in loadcurve copybw cluster pd; do
+  "$bench" "$exp" --tiny --"$exp"-json "$tmp/BENCH_$exp.json" >/dev/null
+done
 
-echo "== bench-gate: loadcurve vs $baselines/loadcurve_tiny.json"
-"$fractos" gate "$lc" --baseline "$baselines/loadcurve_tiny.json"
+for exp in loadcurve copybw cluster pd; do
+  echo "== bench-gate: $exp vs $baselines/${exp}_tiny.json"
+  "$fractos" gate "$tmp/BENCH_$exp.json" \
+    --baseline "$baselines/${exp}_tiny.json"
+done
 
-echo "== bench-gate: copybw vs $baselines/copybw_tiny.json"
-"$fractos" gate "$cb" --baseline "$baselines/copybw_tiny.json"
-
-echo "== bench-gate: cluster vs $baselines/cluster_tiny.json"
-"$fractos" gate "$cl" --baseline "$baselines/cluster_tiny.json"
-
-echo "== bench-gate: pd vs $baselines/pd_tiny.json"
-"$fractos" gate "$pd" --baseline "$baselines/pd_tiny.json"
-
+lc="$tmp/BENCH_loadcurve.json"
 echo "== bench-gate: negative self-test (inflated baseline must FAIL)"
 "$fractos" gate "$lc" --emit --scale 1.3 -o "$tmp/inflated.json"
 if "$fractos" gate "$lc" --baseline "$tmp/inflated.json" >"$tmp/neg.out" 2>&1; then
@@ -51,5 +48,26 @@ if "$fractos" gate "$lc" --baseline "$tmp/inflated.json" >"$tmp/neg.out" 2>&1; t
   exit 1
 fi
 grep -q "result: FAIL" "$tmp/neg.out"
+
+echo "== bench-gate: negative self-test (copy speedup below 2x must FAIL)"
+sed 's/"speedup": [0-9.]*/"speedup": 1.95/' "$tmp/BENCH_copybw.json" \
+  >"$tmp/slow_copy.json"
+grep -q '"speedup": 1.95' "$tmp/slow_copy.json"
+if "$fractos" gate "$tmp/slow_copy.json" \
+  --baseline "$baselines/copybw_tiny.json" >"$tmp/floor.out" 2>&1; then
+  echo "bench-gate: FAIL — gate passed a copy speedup of 1.95x" >&2
+  cat "$tmp/floor.out" >&2
+  exit 1
+fi
+grep -q "2x floor" "$tmp/floor.out"
+
+echo "== bench-gate: --tiny without a path writes no JSON"
+mkdir "$tmp/cwd"
+bench_abs="$(cd "$(dirname "$bench")" && pwd)/$(basename "$bench")"
+(cd "$tmp/cwd" && "$bench_abs" copybw --tiny >/dev/null)
+if [ -e "$tmp/cwd/BENCH_copybw.json" ]; then
+  echo "bench-gate: FAIL — copybw --tiny wrote BENCH_copybw.json" >&2
+  exit 1
+fi
 
 echo "== bench-gate OK"

@@ -3,7 +3,7 @@
 # installed), then every gate alias — @check (trace / breakdown / seeded
 # chaos gate, including the chaos seed battery byte-diffed across
 # domains=1 and domains=4 / audit; see bin/smoke.sh and bin/chaos.sh),
-# @bench-smoke, @obs-smoke and @bench-gate. The gates run through dune,
+# @obs-smoke and @bench-gate. The gates run through dune,
 # inside its sandbox, so a script input an alias forgets to declare fails
 # loudly instead of being read from the source tree. Run from the repo
 # root:
@@ -25,7 +25,7 @@ else
   echo "== skipping @fmt (ocamlformat not installed)"
 fi
 
-echo "== dune build @check @bench-smoke @obs-smoke @bench-gate"
-dune build @check @bench-smoke @obs-smoke @bench-gate
+echo "== dune build @check @obs-smoke @bench-gate"
+dune build @check @obs-smoke @bench-gate
 
 echo "== OK"

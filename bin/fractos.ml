@@ -59,7 +59,8 @@ let trace =
   Arg.(
     value & opt (some int) None
     & info [ "trace" ] ~docv:"N"
-        ~doc:"Print the first $(docv) network messages of the run.")
+        ~doc:"Print the first $(docv) network messages of the run's \
+              request phase (its non-local fabric.xfer spans).")
 
 let trace_json =
   Arg.(
@@ -226,6 +227,21 @@ let run_pd_cmd placement requests seed =
         (Time.to_string (mean !totals))
         (List.length !totals) requests)
 
+(* The first [n] non-local fabric.xfer spans, one line per message in
+   send order: departure time, endpoints, traffic class and size. *)
+let pp_network_xfers fmt n =
+  let attr sp k = Option.value ~default:"" (List.assoc_opt k sp.Obs.Span.sp_attrs) in
+  Obs.Span.all ()
+  |> List.filter (fun sp ->
+         sp.Obs.Span.sp_name = "fabric.xfer" && attr sp "local" = "false")
+  |> List.filteri (fun i _ -> i < n)
+  |> List.iter (fun sp ->
+         Format.fprintf fmt "%-10s %-12s -> %-12s %-7s %6sB@."
+           (Time.to_string sp.Obs.Span.sp_start)
+           (attr sp "src") (attr sp "dst")
+           (if attr sp "cls" = "ctrl" then "control" else "data")
+           (attr sp "bytes"))
+
 let run_faceverify_cmd placement batch requests seed trace trace_json metrics
     breakdown audit openmetrics hist_csv journal journal_cap audit_cap slo top
     artifacts =
@@ -247,7 +263,6 @@ let run_faceverify_cmd placement batch requests seed trace trace_json metrics
     Obs.Journal.set_enabled true
   end;
   Tb.run (fun tb ->
-      let recorder = Fractos_net.Trace.recorder () in
       let c = Cluster.make ~placement ~extent_size:(n_images * img_size) tb in
       let db = Facedata.db ~img_size ~n:n_images in
       ok_exn
@@ -265,13 +280,11 @@ let run_faceverify_cmd placement batch requests seed trace trace_json metrics
         requests batch;
       Net.Stats.reset (Cluster.stats c);
       (* trace the request phase only: setup (db population) would dwarf it *)
-      if trace_json <> None || breakdown || artifacts <> None then begin
+      if trace_json <> None || breakdown || artifacts <> None || trace <> None
+      then begin
         Obs.Span.reset ();
         Obs.Span.set_enabled true
       end;
-      if trace <> None then
-        Net.Fabric.set_tracer tb.Tb.fabric
-          (Some (Net.Trace.record recorder));
       let slo_t =
         if not slo then None
         else
@@ -412,9 +425,8 @@ let run_faceverify_cmd placement batch requests seed trace trace_json metrics
       | None -> ());
       match trace with
       | Some n ->
-        Format.printf "@.first %d network messages:@." n;
-        Net.Trace.pp_timeline ~skip_local:true ~limit:n Format.std_formatter
-          recorder
+        Obs.Span.set_enabled false;
+        Format.printf "@.first %d network messages:@.%a" n pp_network_xfers n
       | None -> ())
 
 let run_cmd workload placement batch requests seed trace trace_json metrics
@@ -999,6 +1011,13 @@ let gate_cmd fresh baseline tolerance emit scale out =
       exit 1
   in
   let fresh_j = load fresh in
+  (match Obs.Gate.validate fresh_j with
+  | [] -> ()
+  | violations ->
+    Format.eprintf "fractos gate: %s fails validation (%d violations):@." fresh
+      (List.length violations);
+    List.iter (Format.eprintf "  %s@.") violations;
+    exit 1);
   if emit then begin
     match Obs.Gate.extract fresh_j with
     | Error msg ->
@@ -1144,8 +1163,9 @@ let gate_t =
       required
       & pos 0 (some string) None
       & info [] ~docv:"FRESH"
-          ~doc:"Freshly produced bench JSON (BENCH_loadcurve.json or \
-                BENCH_copybw.json).")
+          ~doc:"Freshly produced bench JSON (BENCH_loadcurve.json, \
+                BENCH_copybw.json, BENCH_cluster.json or BENCH_pd.json); \
+                it is validated before anything else.")
   in
   let baseline =
     Arg.(
@@ -1183,8 +1203,9 @@ let gate_t =
   in
   Cmd.v
     (Cmd.info "gate"
-       ~doc:"Performance regression gate: check fresh bench JSON against a \
-             committed baseline within tolerance (exit 1 on regression)")
+       ~doc:"Performance regression gate: validate fresh bench JSON (schema, \
+             orderings, accounting, headline floors), then check it against \
+             a committed baseline within tolerance (exit 1 on any failure)")
     Term.(const gate_cmd $ fresh $ baseline $ tolerance $ emit $ scale $ out)
 
 let primitives_t =

@@ -1,13 +1,14 @@
 #!/bin/sh
 # Observability smokes (the @obs-smoke dune alias):
 # - `fractos run --journal --slo` on a tiny workload: the journal must
-#   retain events without overflowing and the SLO report must parse with
-#   every burn rate finite and non-negative;
+#   retain events without overflowing and the SLO report must print at
+#   least three windows (their burn rates are parsed by the sampler
+#   chaos test in test/obs/test_runtime.ml);
 # - `--journal-cap` must bound the ring and account the overflow;
 # - `fractos top` must render dashboard frames and a final SLO report;
-# - a sampled chaos run must be bit-deterministic per seed, retain every
-#   error/shed/slow trace, and keep at most ceil(keep * healthy) healthy
-#   ones (parsed from the sampling summary line);
+# - a sampled chaos run must be bit-deterministic per seed and print its
+#   sampling summary (its retention bounds are asserted on the same run
+#   by test/obs/test_runtime.ml);
 # - the loadcurve bench must report identical goodput with and without
 #   the --top live dashboard (the dashboard fiber only reads metrics);
 # - `fractos analyze --whatif` must be bit-deterministic for the same
@@ -40,19 +41,6 @@ grep -q 'ctrl.admit' "$tmp/run.txt"
 grep -q '^slo request: latency<=' "$tmp/run.txt"
 windows=$(grep -c '^  window=.*latency_burn=.*error_burn=' "$tmp/run.txt")
 test "$windows" -ge 3
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$tmp/run.txt" <<'EOF'
-import re, sys
-lines = [l for l in open(sys.argv[1]) if l.startswith("  window=")]
-assert len(lines) >= 3, lines
-for l in lines:
-    m = re.match(
-        r"  window=(\S+)\s+samples=(\d+)\s+"
-        r"latency_burn=([0-9.]+|inf)\s+error_burn=([0-9.]+|inf)", l)
-    assert m, "unparsable SLO line: %r" % l
-    assert float(m.group(3)) >= 0 and float(m.group(4)) >= 0, l
-EOF
-fi
 
 echo "== obs-smoke: --journal-cap bounds the ring"
 "$fractos" run -n 4 --journal --journal-cap 8 >"$tmp/cap.txt" 2>&1
@@ -76,27 +64,12 @@ chaos="--workload copy --sample-keep 0.25 --sample-threshold-us 2000 \
 "$fractos" chaos $chaos >"$tmp/chaos2.txt" 2>&1
 cmp "$tmp/chaos1.txt" "$tmp/chaos2.txt"
 grep -q '^sampling: seen=' "$tmp/chaos1.txt"
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$tmp/chaos1.txt" <<'EOF'
-import math, re, sys
-text = open(sys.argv[1]).read()
-m = re.search(
-    r"sampling: seen=(\d+) healthy=(\d+) kept error=(\d+) shed=(\d+) "
-    r"slow=(\d+) head=(\d+)", text)
-assert m, "no sampling summary line"
-seen, healthy, err, shed, slow, head = map(int, m.groups())
-# every error/shed/slow trace is retained: kept tallies must cover them
-assert err + shed + slow == seen - healthy, m.group(0)
-# healthy retention is bounded by the configured keep fraction
-assert head <= math.ceil(0.25 * healthy), m.group(0)
-EOF
-fi
 
 echo "== obs-smoke: bench --top does not perturb goodput"
-"$bench" loadcurve --tiny --no-bechamel \
-  --loadcurve-json "$tmp/lc_plain.json" >/dev/null 2>&1
-"$bench" loadcurve --tiny --top --no-bechamel \
-  --loadcurve-json "$tmp/lc_top.json" >/dev/null 2>"$tmp/lc_top.err"
+"$bench" loadcurve --tiny --loadcurve-json "$tmp/lc_plain.json" \
+  >/dev/null 2>&1
+"$bench" loadcurve --tiny --top --loadcurve-json "$tmp/lc_top.json" \
+  >/dev/null 2>"$tmp/lc_top.err"
 grep -q '^\[top\] t=' "$tmp/lc_top.err"
 grep -o '"goodput_rps": [0-9.]*' "$tmp/lc_plain.json" >"$tmp/good_plain"
 grep -o '"goodput_rps": [0-9.]*' "$tmp/lc_top.json" >"$tmp/good_top"

@@ -23,26 +23,14 @@ trap 'rm -rf "$tmp"' EXIT
 echo "== smoke: fractos run --trace-json"
 "$fractos" run -n 2 --trace-json "$tmp/fv.json" >/dev/null
 
-if command -v python3 >/dev/null 2>&1; then
-  python3 -m json.tool "$tmp/fv.json" >/dev/null
-  python3 - "$tmp/fv.json" <<'EOF'
-import json, sys
-d = json.load(open(sys.argv[1]))
-evs = d["traceEvents"]
-assert evs, "empty traceEvents"
-names = {e.get("name", "") for e in evs}
-for want in ("ctrl.invoke", "sys.request_invoke"):
-    assert want in names, f"missing span {want!r} in trace"
-EOF
-else
-  # Crude fallback: the file must at least open a trace-event array and
-  # contain the invoke spans.
-  grep -q '"traceEvents"' "$tmp/fv.json"
-  grep -q '"ctrl.invoke"' "$tmp/fv.json"
-fi
+# the JSON itself is parsed by the chrome-trace golden test
+# (test/obs/test_obs.ml); here check the CLI wiring
+grep -q '"traceEvents"' "$tmp/fv.json"
+grep -q '"ctrl.invoke"' "$tmp/fv.json"
+grep -q '"sys.request_invoke"' "$tmp/fv.json"
 
 echo "== smoke: bench fig5 --breakdown"
-"$bench" fig5 --breakdown "$tmp/bd" --no-bechamel >/dev/null
+"$bench" fig5 --breakdown "$tmp/bd" >/dev/null
 csv="$tmp/bd/fig5.csv"
 test -s "$csv"
 head -1 "$csv" | grep -q \

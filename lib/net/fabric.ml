@@ -8,7 +8,6 @@ type t = {
   stats : Stats.t;
   mutable next_id : int;
   mutable nodes : Node.t list; (* reverse creation order *)
-  mutable tracer : (Trace.event -> unit) option;
   mutable fault_hook : fault_hook option;
 }
 
@@ -19,11 +18,9 @@ let create ?(config = Config.default) () =
     stats = Stats.create ();
     next_id = 0;
     nodes = [];
-    tracer = None;
     fault_hook = None;
   }
 
-let set_tracer t tracer = t.tracer <- tracer
 let set_fault_hook t h = t.fault_hook <- h
 
 let config t = t.config
@@ -99,32 +96,6 @@ let send t ~src ~dst ?(cls = Stats.Control) ~size deliver =
            | Delay d -> " delay=" ^ Sim.Time.to_string d
            | _ -> ""))
        ());
-  let trace_event kind =
-    {
-      Trace.ev_time = Sim.Engine.now ();
-      ev_kind = kind;
-      ev_src = src.Node.name;
-      ev_dst = dst.Node.name;
-      ev_cls = cls;
-      ev_bytes = size;
-      ev_local = not on_network;
-    }
-  in
-  (match t.tracer with
-  | Some record -> record (trace_event Trace.Depart)
-  | None -> ());
-  (* The duplicate copy (fault injection) re-runs the raw callback without
-     the span-finish wrapper, so the fabric.xfer span is finished exactly
-     once; receivers deduplicate at the endpoint layer. *)
-  let dup_deliver =
-    match t.tracer with
-    | None -> deliver
-    | Some record ->
-      fun () ->
-        record (trace_event Trace.Arrive);
-        deliver ()
-  in
-  let deliver = dup_deliver in
   (* One fabric.xfer span per message, from post to delivery, as a leaf
      under the sender's ambient context (it never becomes the parent of
      the receiver's spans — channels propagate the *sender's* ctx). Its
@@ -144,7 +115,10 @@ let send t ~src ~dst ?(cls = Stats.Control) ~size deliver =
         ()
     else 0
   in
-  let deliver =
+  (* The duplicate copy (fault injection) re-runs the raw [deliver]
+     without this span-finish wrapper, so the fabric.xfer span is
+     finished exactly once; receivers deduplicate at the endpoint layer. *)
+  let deliver_once =
     if sp = 0 then deliver
     else
       fun () ->
@@ -176,10 +150,9 @@ let send t ~src ~dst ?(cls = Stats.Control) ~size deliver =
       if sp <> 0 then
         Obs.Span.set_attr sp "q"
           (string_of_int ((tx_start - now) + (rx_start - (tx_start + base))));
-      Sim.Engine.schedule (rx_done + extra - now) deliver;
+      Sim.Engine.schedule (rx_done + extra - now) deliver_once;
       (match fault with
-      | Duplicate ->
-        Sim.Engine.schedule (rx_done + extra + base - now) dup_deliver
+      | Duplicate -> Sim.Engine.schedule (rx_done + extra + base - now) deliver
       | _ -> ())
   end
   else begin
@@ -192,7 +165,7 @@ let send t ~src ~dst ?(cls = Stats.Control) ~size deliver =
     in
     let dma_start, dma_done = Sim.Resource.reserve src.Node.dma ~duration:ser in
     if sp <> 0 then Obs.Span.set_attr sp "q" (string_of_int (dma_start - now));
-    Sim.Engine.schedule (dma_done + base + extra - now) deliver
+    Sim.Engine.schedule (dma_done + base + extra - now) deliver_once
   end
 
 let transfer t ~src ~dst ?cls ~size () =

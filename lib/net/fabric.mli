@@ -23,9 +23,6 @@ val config : t -> Config.t
 val stats : t -> Stats.t
 (** Traffic accounting: the live instance, updated by every {!send}. *)
 
-val set_tracer : t -> (Trace.event -> unit) option -> unit
-(** Install (or remove) a message tracer; see {!Trace}. *)
-
 (** {2 Fault injection}
 
     A fault hook is consulted once per {!send}, in deterministic message
@@ -89,7 +86,12 @@ val send :
     [size] payload bytes, then runs [deliver] at the arrival instant.
     [deliver] runs as a raw event and must not block; have it fill an ivar
     or send on a channel. Never blocks the caller. [cls] defaults to
-    [Control]. *)
+    [Control].
+
+    While {!Obs.Span} collection is on, each send records one
+    [fabric.xfer] span from departure to delivery (or to the drop),
+    with attributes [src], [dst], [bytes], [cls] ([ctrl] or [data]),
+    [local] and the NIC queueing share [q] in ns. *)
 
 val transfer :
   t -> src:Node.t -> dst:Node.t -> ?cls:Stats.cls -> size:int -> unit -> unit

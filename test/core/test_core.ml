@@ -235,8 +235,8 @@ let test_copy_pipelined_single_chunk () =
 let test_copy_pipelined_faster_on_fast_fabric () =
   (* On a 100 Gbps fabric the serial engine is latency-bound on its
      per-chunk staging round trip; the windowed multi-stream engine must
-     recover at least 2x effective bandwidth on a 1 MiB copy (the ISSUE's
-     acceptance bar, also asserted by bin/bench_smoke.sh). *)
+     recover at least 2x effective bandwidth on a 1 MiB copy (the
+     headline floor `fractos gate` also holds BENCH_copybw.json to). *)
   let n = 1 lsl 20 in
   let serial = timed_copy ~net_gbps:100 ~window:1 ~streams:1 n in
   let pipelined = timed_copy ~net_gbps:100 ~window:8 ~streams:4 n in

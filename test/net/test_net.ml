@@ -352,53 +352,75 @@ let test_endpoint_dedups_duplicates () =
 (* Trace                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Every send is recorded as one fabric.xfer span carrying its
+   endpoints, size, class and locality, from departure to delivery. *)
 let test_trace_records_sends () =
+  let module Span = Fractos_obs.Span in
+  Span.reset ();
+  Span.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Span.set_enabled false;
+      Span.reset ())
+  @@ fun () ->
   with_fabric (fun fab ->
       let a, b, _ = three_nodes fab in
-      let rec_ = Trace.recorder () in
-      Fabric.set_tracer fab (Some (Trace.record rec_));
       Fabric.transfer fab ~src:a ~dst:b ~cls:Stats.Data ~size:100 ();
       Fabric.transfer fab ~src:a ~dst:a ~size:10 ();
-      Fabric.set_tracer fab None;
-      Fabric.transfer fab ~src:a ~dst:b ~size:10 ();
-      let evs = Trace.events rec_ in
-      check_int "two traced" 2 (List.length evs);
-      match evs with
-      | [ e1; e2 ] ->
-        Alcotest.(check string) "src" "a" e1.Trace.ev_src;
-        Alcotest.(check string) "dst" "b" e1.Trace.ev_dst;
-        check_int "bytes" 100 e1.Trace.ev_bytes;
-        check_bool "network" false e1.Trace.ev_local;
-        check_bool "loopback flagged local" true e2.Trace.ev_local
-      | _ -> Alcotest.fail "unexpected events")
+      Span.set_enabled false;
+      Fabric.transfer fab ~src:a ~dst:b ~size:10 ());
+  let xfers =
+    List.filter (fun sp -> sp.Span.sp_name = "fabric.xfer") (Span.all ())
+  in
+  match xfers with
+  | [ remote; local ] ->
+    let attr sp k = List.assoc_opt k sp.Span.sp_attrs in
+    Alcotest.(check (option string)) "src" (Some "a") (attr remote "src");
+    Alcotest.(check (option string)) "dst" (Some "b") (attr remote "dst");
+    Alcotest.(check (option string)) "bytes" (Some "100") (attr remote "bytes");
+    Alcotest.(check (option string)) "cls" (Some "data") (attr remote "cls");
+    Alcotest.(check (option string)) "network" (Some "false")
+      (attr remote "local");
+    Alcotest.(check (option string)) "control by default" (Some "ctrl")
+      (attr local "cls");
+    Alcotest.(check (option string)) "loopback flagged local" (Some "true")
+      (attr local "local");
+    List.iter
+      (fun sp ->
+        check_bool "finished" true sp.Span.sp_finished;
+        check_bool "delivery after departure" true
+          (sp.Span.sp_end > sp.Span.sp_start))
+      xfers
+  | l -> Alcotest.failf "expected 2 fabric.xfer spans, got %d" (List.length l)
 
-let test_trace_bounded () =
-  with_fabric (fun fab ->
-      let a, b, _ = three_nodes fab in
-      let rec_ = Trace.recorder ~limit:5 () in
-      Fabric.set_tracer fab (Some (Trace.record rec_));
-      for _ = 1 to 12 do
-        Fabric.transfer fab ~src:a ~dst:b ~size:1 ()
-      done;
-      check_int "kept at most limit" 5 (Trace.count rec_);
-      check_int "dropped the rest" 7 (Trace.dropped rec_))
-
+(* Arrivals are recorded only while span collection is on, and the
+   fabric.xfer span ends at the instant the receiver's callback runs. *)
 let test_trace_arrivals () =
+  let module Span = Fractos_obs.Span in
+  Span.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Span.set_enabled false;
+      Span.reset ())
+  @@ fun () ->
+  let off_arrival = ref (-1) and on_arrival = ref (-1) in
   with_fabric (fun fab ->
       let a, b, _ = three_nodes fab in
-      let rec_ = Trace.recorder ~arrivals:true () in
-      Fabric.set_tracer fab (Some (Trace.record rec_));
-      Fabric.transfer fab ~src:a ~dst:b ~cls:Stats.Data ~size:100 ();
-      Fabric.set_tracer fab None;
-      match Trace.events rec_ with
-      | [ dep; arr ] ->
-        check_bool "depart first" true (dep.Trace.ev_kind = Trace.Depart);
-        check_bool "arrive second" true (arr.Trace.ev_kind = Trace.Arrive);
-        check_bool "arrival is later" true (arr.Trace.ev_time > dep.Trace.ev_time);
-        Alcotest.(check string) "same src" dep.Trace.ev_src arr.Trace.ev_src;
-        check_int "same bytes" dep.Trace.ev_bytes arr.Trace.ev_bytes;
-        check_int "no drops" 0 (Trace.dropped rec_)
-      | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs))
+      Span.set_enabled false;
+      Fabric.send fab ~src:a ~dst:b ~cls:Stats.Data ~size:100 (fun () ->
+          off_arrival := Engine.now ());
+      Engine.sleep (Time.ms 1);
+      Span.set_enabled true;
+      Fabric.send fab ~src:a ~dst:b ~cls:Stats.Data ~size:100 (fun () ->
+          on_arrival := Engine.now ());
+      Engine.sleep (Time.ms 1));
+  check_bool "off send delivered" true (!off_arrival > 0);
+  match List.filter (fun sp -> sp.Span.sp_name = "fabric.xfer") (Span.all ()) with
+  | [ sp ] ->
+    check_bool "finished" true sp.Span.sp_finished;
+    check_int "span ends at delivery" !on_arrival sp.Span.sp_end;
+    check_bool "arrival is later" true (sp.Span.sp_end > sp.Span.sp_start)
+  | l -> Alcotest.failf "expected 1 fabric.xfer span, got %d" (List.length l)
 
 (* ------------------------------------------------------------------ *)
 (* Utilization                                                        *)
@@ -525,7 +547,6 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "records sends" `Quick test_trace_records_sends;
-          Alcotest.test_case "bounded" `Quick test_trace_bounded;
           Alcotest.test_case "arrivals opt-in" `Quick test_trace_arrivals;
         ] );
       ( "utilization",

@@ -240,151 +240,36 @@ let test_span_tree_across_invoke () =
 (* Chrome-trace golden test                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A small JSON parser — enough to validate the exporter's output
-   without taking a yojson dependency. *)
-type json =
-  | J_null
-  | J_bool of bool
-  | J_num of float
-  | J_str of string
-  | J_list of json list
-  | J_obj of (string * json) list
+let field = Obs.Json.member
 
-exception Parse_error of string
+let as_str v =
+  match Option.bind v Obs.Json.to_string with
+  | Some s -> s
+  | None -> Alcotest.fail "expected a string field"
 
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at %d" msg !pos)) in
-  let peek () = if !pos < n then s.[!pos] else '\000' in
-  let next () =
-    let c = peek () in
-    incr pos;
-    c
-  in
-  let rec skip_ws () =
-    match peek () with
-    | ' ' | '\t' | '\n' | '\r' ->
-      incr pos;
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c = if next () <> c then fail (Printf.sprintf "expected %c" c) in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match next () with
-      | '"' -> Buffer.contents b
-      | '\\' ->
-        (match next () with
-        | '"' -> Buffer.add_char b '"'
-        | '\\' -> Buffer.add_char b '\\'
-        | '/' -> Buffer.add_char b '/'
-        | 'n' -> Buffer.add_char b '\n'
-        | 't' -> Buffer.add_char b '\t'
-        | 'r' -> Buffer.add_char b '\r'
-        | 'b' -> Buffer.add_char b '\b'
-        | 'f' -> Buffer.add_char b '\012'
-        | 'u' ->
-          let h = String.sub s !pos 4 in
-          pos := !pos + 4;
-          Buffer.add_char b (Char.chr (int_of_string ("0x" ^ h) land 0xff))
-        | c -> fail (Printf.sprintf "bad escape %c" c));
-        go ()
-      | '\000' -> fail "unterminated string"
-      | c ->
-        Buffer.add_char b c;
-        go ()
-    in
-    go ()
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '"' -> J_str (parse_string ())
-    | '{' ->
-      expect '{';
-      skip_ws ();
-      if peek () = '}' then begin
-        incr pos;
-        J_obj []
-      end
-      else
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match next () with
-          | ',' -> members ((k, v) :: acc)
-          | '}' -> J_obj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected , or }"
-        in
-        members []
-    | '[' ->
-      expect '[';
-      skip_ws ();
-      if peek () = ']' then begin
-        incr pos;
-        J_list []
-      end
-      else
-        let rec elems acc =
-          let v = parse_value () in
-          skip_ws ();
-          match next () with
-          | ',' -> elems (v :: acc)
-          | ']' -> J_list (List.rev (v :: acc))
-          | _ -> fail "expected , or ]"
-        in
-        elems []
-    | 't' ->
-      pos := !pos + 4;
-      J_bool true
-    | 'f' ->
-      pos := !pos + 5;
-      J_bool false
-    | 'n' ->
-      pos := !pos + 4;
-      J_null
-    | _ ->
-      let start = !pos in
-      let is_num c =
-        (c >= '0' && c <= '9')
-        || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-      in
-      while is_num (peek ()) do
-        incr pos
-      done;
-      if !pos = start then fail "unexpected character";
-      J_num (float_of_string (String.sub s start (!pos - start)))
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let field k = function J_obj kvs -> List.assoc_opt k kvs | _ -> None
-
-let as_str = function
-  | Some (J_str s) -> s
-  | _ -> Alcotest.fail "expected a string field"
-
-let as_num = function
-  | Some (J_num f) -> f
-  | _ -> Alcotest.fail "expected a numeric field"
+let as_num v =
+  match Option.bind v Obs.Json.to_float with
+  | Some f -> f
+  | None -> Alcotest.fail "expected a numeric field"
 
 let test_chrome_trace_golden () =
   with_spans (fun () -> run_invoke_scenario ());
-  let raw = Obs.Export.chrome_trace_string () in
-  let j = parse_json raw in
+  (* through the file writer and the repo's strict JSON reader, as
+     `fractos run --trace-json` output is consumed *)
+  let path = Filename.temp_file "fractos-trace" ".json" in
+  let j =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Obs.Export.write_chrome_trace path;
+        match Obs.Json.of_file path with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "chrome trace does not parse: %s" e)
+  in
   let evs =
-    match field "traceEvents" j with
-    | Some (J_list l) -> l
-    | _ -> Alcotest.fail "no traceEvents array"
+    match Option.bind (Obs.Json.member "traceEvents" j) Obs.Json.to_list with
+    | Some l -> l
+    | None -> Alcotest.fail "no traceEvents array"
   in
   check_bool "nonempty" true (List.length evs > 0);
   check_bool "has metadata events" true

@@ -182,13 +182,65 @@ let test_whatif_tiebreak () =
 (* Gate                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let loadcurve_json knee =
+(* Fixtures: minimal bench JSONs that pass [Gate.validate]; the
+   optional arguments doctor one field each. *)
+let meta ~seeds knob =
   Printf.sprintf
-    {|{"experiment": "loadcurve", "variants": [
-        {"name": "fastpath-on", "points": [
-          {"offered_rps": 1, "goodput_rps": %f},
-          {"offered_rps": 2, "goodput_rps": %f}]}]}|}
-    (knee /. 2.0) knee
+    {|"meta": {"git": "abc", "seeds": [%s], "wallclock_s": 0.5, "domains": 1,
+       "cores": 2, "knobs": {"%s": 1}}|}
+    seeds knob
+
+(* [ok + errors = n] points at increasing offered load *)
+let sweep_points ?(errors = 0) ~offered goodputs =
+  String.concat ", "
+    (List.map2
+       (fun o g ->
+         Printf.sprintf
+           {|{"offered_rps": %d, "n": 10, "ok": 10, "errors": %d, "goodput_rps": %f}|}
+           o errors g)
+       offered goodputs)
+
+let loadcurve_json ?(seeds = "5, 6, 11") ?(offered = [ 1; 2 ]) ?errors knee =
+  Printf.sprintf
+    {|{"experiment": "loadcurve", %s, "variants": [
+        {"name": "fastpath-off", "points": [%s]},
+        {"name": "fastpath-on", "points": [%s]}]}|}
+    (meta ~seeds "rates_rps")
+    (sweep_points ~offered [ 50.0; 100.0 ])
+    (sweep_points ?errors ~offered [ knee /. 2.0; knee ])
+
+let copybw_json ?(speedup = 2.14) () =
+  Printf.sprintf
+    {|{"experiment": "copybw", %s, "points": [
+        {"window": 1, "streams": 1, "ns": 300, "gbps": 25.0},
+        {"window": 8, "streams": 4, "ns": 140, "gbps": %f}],
+      "headline": {"serial_gbps": 25.0, "pipelined_gbps": %f, "speedup": %f}}|}
+    (meta ~seeds:"" "headline_window")
+    (25.0 *. speedup) (25.0 *. speedup) speedup
+
+let cluster_json ?(knee4 = 7000.0) () =
+  let point shards knee =
+    Printf.sprintf
+      {|{"shards": %d, "knee_goodput_rps": %f, "sweep": [%s]}|}
+      shards knee
+      (sweep_points ~offered:[ 1; 2 ] [ knee /. 2.0; knee ])
+  in
+  Printf.sprintf {|{"experiment": "cluster", %s, "points": [%s, %s, %s]}|}
+    (meta ~seeds:"11" "shard_counts")
+    (point 1 2000.0) (point 2 4000.0) (point 4 knee4)
+
+let pd_json ?(split_d2 = 8000.0) () =
+  let point mode d g =
+    Printf.sprintf
+      {|{"mode": "%s", "decodes": %d, "kv_bytes": 65536, "n": 10, "ok": 10,
+         "errors": 0, "goodput_rps": %f, "mean_ttft_us": 500.0,
+         "p99_latency_us": 1000.0}|}
+      mode d g
+  in
+  Printf.sprintf {|{"experiment": "pd", %s, "points": [%s, %s, %s, %s]}|}
+    (meta ~seeds:"17" "decode_counts")
+    (point "split" 1 4000.0) (point "unified" 1 2700.0)
+    (point "split" 2 split_d2) (point "unified" 2 5400.0)
 
 let parse s =
   match Obs.Json.parse s with
@@ -200,7 +252,11 @@ let test_gate_extract () =
   | Error e -> Alcotest.fail e
   | Ok metrics ->
     check_bool "knee is the max goodput" true
-      (metrics = [ ("knee_goodput_rps/fastpath-on", 200.0) ])
+      (metrics
+      = [
+          ("knee_goodput_rps/fastpath-off", 100.0);
+          ("knee_goodput_rps/fastpath-on", 200.0);
+        ])
 
 let test_gate_check () =
   let base = parse (loadcurve_json 200.0) in
@@ -238,15 +294,51 @@ let test_gate_emit_roundtrip () =
   check_bool "embedded tolerance" true
     (Obs.Gate.baseline_tolerance j = Some 0.10);
   (match Obs.Gate.metrics_of_baseline j with
-  | Ok [ (name, v) ] ->
-    check_str "metric name" "knee_goodput_rps/fastpath-on" name;
-    check_bool "scaled by 1.3" true (abs_float (v -. 260.0) < 0.01)
+  | Ok [ (off, v_off); (on, v_on) ] ->
+    check_str "metric name" "knee_goodput_rps/fastpath-off" off;
+    check_str "metric name" "knee_goodput_rps/fastpath-on" on;
+    check_bool "scaled by 1.3" true
+      (abs_float (v_off -. 130.0) < 0.01 && abs_float (v_on -. 260.0) < 0.01)
   | _ -> Alcotest.fail "baseline digest did not round-trip");
   (* the inflated baseline must fail against the original run: this is
      the negative self-test the CI gate script relies on *)
   match Obs.Gate.check ~baseline:j ~fresh () with
   | Ok g -> check_bool "inflated baseline fails" false g.Obs.Gate.r_pass
   | Error e -> Alcotest.fail e
+
+(* Each doctored file breaks one floor or ordering rule and must be
+   rejected, even where the baseline comparison alone would pass. *)
+let test_gate_validate () =
+  let violations s = Obs.Gate.validate (parse s) in
+  List.iter
+    (fun (what, s) ->
+      Alcotest.(check (list string)) (what ^ " is valid") [] (violations s))
+    [
+      ("loadcurve", loadcurve_json 200.0);
+      ("copybw", copybw_json ());
+      ("cluster", cluster_json ());
+      ("pd", pd_json ());
+    ];
+  let rejected what ~because s =
+    check_bool (what ^ " rejected") true
+      (List.exists (contains ~sub:because) (violations s))
+  in
+  rejected "copy speedup 1.9" ~because:"2x floor" (copybw_json ~speedup:1.9 ());
+  rejected "4-shard knee below 3x" ~because:"3x the 1-shard"
+    (cluster_json ~knee4:5900.0 ());
+  rejected "split below 0.5x unified" ~because:"half of unified"
+    (pd_json ~split_d2:2600.0 ());
+  rejected "non-increasing offered_rps" ~because:"strictly increasing"
+    (loadcurve_json ~offered:[ 2; 2 ] 200.0);
+  rejected "ok + errors <> n" ~because:"<> n" (loadcurve_json ~errors:1 200.0);
+  rejected "wrong seeds" ~because:"seeds" (loadcurve_json ~seeds:"5" 200.0);
+  (* within the baseline's 10% tolerance, yet below the 2x floor *)
+  let base = parse (copybw_json ())
+  and fresh = parse (copybw_json ~speedup:1.95 ()) in
+  (match Obs.Gate.check ~baseline:base ~fresh () with
+  | Ok g -> check_bool "baseline comparison alone passes" true g.Obs.Gate.r_pass
+  | Error e -> Alcotest.fail e);
+  check_bool "validate still rejects" true (Obs.Gate.validate fresh <> [])
 
 (* ------------------------------------------------------------------ *)
 (* Diff                                                                *)
@@ -447,6 +539,8 @@ let () =
           Alcotest.test_case "check" `Quick test_gate_check;
           Alcotest.test_case "emit roundtrip + negative" `Quick
             test_gate_emit_roundtrip;
+          Alcotest.test_case "validate floors and orderings" `Quick
+            test_gate_validate;
         ] );
       ( "diff",
         [

@@ -194,21 +194,65 @@ let test_sampler_deterministic () =
 (* Two identical same-seed chaos runs must agree on everything the
    sampler decided: the full rendered report (which includes the
    sampling summary line) and the retained trace set left in the
-   sampler after the run. *)
+   sampler after the run. The sampling summary must also honour the
+   retention contract: every error/shed/slow trace is kept, and at most
+   ceil (keep * healthy) healthy ones. Two inputs: a mixed workload,
+   and `fractos chaos --workload copy --sample-keep 0.25
+   --sample-threshold-us 2000 --slo --seed 7`, whose SLO report must
+   render at least three parsable windows with non-negative burns. *)
 let test_chaos_sampling_deterministic () =
   let spec = Fault.Spec.default in
-  let go () =
-    let r =
-      Fault.Chaos.run ~clients:3 ~requests:12 ~workload:Fault.Chaos.Mixed
-        ~sampling:(Sim.Time.us 500, 0.2) ~spec ~seed:1234 ()
+  let case ?clients ?requests ~workload ~threshold_us ~keep ?slo ~seed () =
+    let go () =
+      let slo = Option.map Obs.Slo.create slo in
+      let r =
+        Fault.Chaos.run ?clients ?requests ~workload
+          ~sampling:(Sim.Time.us threshold_us, keep)
+          ?slo ~spec ~seed ()
+      in
+      (r, Fault.Chaos.to_lines r, Obs.Sampler.retained ())
     in
-    (Fault.Chaos.to_lines r, Obs.Sampler.retained ())
+    let r, lines_a, kept_a = go () in
+    let _, lines_b, kept_b = go () in
+    check_bool "reports identical" true (lines_a = lines_b);
+    check_bool "retained trace sets identical" true (kept_a = kept_b);
+    check_bool "something was sampled" true (kept_a <> []);
+    (match r.Fault.Chaos.r_sampling with
+    | None -> Alcotest.fail "no sampling summary"
+    | Some s ->
+      check_int "error+shed+slow = seen-healthy"
+        (s.Fault.Chaos.s_seen - s.s_healthy)
+        (s.s_kept_error + s.s_kept_shed + s.s_kept_slow);
+      check_bool "head <= ceil(keep * healthy)" true
+        (float s.s_kept_head <= Float.ceil (keep *. float s.s_healthy)));
+    r
   in
-  let lines_a, kept_a = go () in
-  let lines_b, kept_b = go () in
-  check_bool "reports identical" true (lines_a = lines_b);
-  check_bool "retained trace sets identical" true (kept_a = kept_b);
-  check_bool "something was sampled" true (kept_a <> [])
+  ignore
+    (case ~clients:3 ~requests:12 ~workload:Fault.Chaos.Mixed
+       ~threshold_us:500 ~keep:0.2 ~seed:1234 ());
+  let r =
+    case ~workload:Fault.Chaos.Copy ~threshold_us:2000 ~keep:0.25
+      ~slo:(Obs.Slo.make ~latency:(Sim.Time.ms 1) "chaos")
+      ~seed:7 ()
+  in
+  let windows =
+    List.filter
+      (String.starts_with ~prefix:"  window=")
+      (Option.value ~default:[] r.Fault.Chaos.r_slo)
+  in
+  check_bool ">= 3 SLO windows" true (List.length windows >= 3);
+  List.iter
+    (fun l ->
+      let burn s = if s = "inf" then infinity else float_of_string s in
+      match
+        Scanf.sscanf l "  window=%s samples=%d latency_burn=%s error_burn=%s%!"
+          (fun _ _ lat err -> (burn lat, burn err))
+      with
+      | lat, err ->
+        check_bool ("burns >= 0: " ^ l) true (lat >= 0.0 && err >= 0.0)
+      | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) ->
+        Alcotest.failf "unparsable SLO line %S" l)
+    windows
 
 (* ------------------------------------------------------------------ *)
 (* SLO burn-rate windows                                              *)
