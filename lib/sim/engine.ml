@@ -1,7 +1,17 @@
 exception Deadlock of string
 
+(* Pending events live in two queues. [heap] holds events for later
+   instants, ordered by [(time, seq)]. [ready] is a FIFO ring of events
+   for the current instant: sleeps of 0, resumes, spawns and [schedule 0],
+   which are most events, skip the heap. [drain] runs the heap's entries
+   at [now] before the ring, which keeps the exact [(time, seq)] order: a
+   heap entry at [now] was scheduled before the clock reached [now], so
+   its seq is smaller than that of any entry in the ring. *)
 type t = {
   heap : (unit -> unit) Heap.t;
+  mutable ready : (unit -> unit) array; (* ring; capacity a power of two *)
+  mutable ready_head : int;
+  mutable ready_len : int;
   mutable now : int;
   mutable seq : int;
   mutable fibers : int;
@@ -22,10 +32,39 @@ let get () =
   | Some t -> t
   | None -> failwith "Fractos_sim.Engine: no engine is running"
 
+(* Vacated ring slots hold [nop], so the ring keeps no finished event's
+   closure (and the fiber it captures) reachable. *)
+let nop () = ()
+
+let grow_ready t =
+  let n = Array.length t.ready in
+  let a = Array.make (2 * n) nop in
+  for i = 0 to t.ready_len - 1 do
+    a.(i) <- t.ready.((t.ready_head + i) land (n - 1))
+  done;
+  t.ready <- a;
+  t.ready_head <- 0
+
+let take_ready t =
+  let i = t.ready_head in
+  let f = Array.unsafe_get t.ready i in
+  Array.unsafe_set t.ready i nop;
+  t.ready_head <- (i + 1) land (Array.length t.ready - 1);
+  t.ready_len <- t.ready_len - 1;
+  f
+
+(* A time at or before [now] runs at [now], after everything already
+   queued for it. [seq] is bumped either way, so the heap's tiebreaker
+   keeps counting schedules. *)
 let schedule_at t ~time f =
-  let time = if time < t.now then t.now else time in
   t.seq <- t.seq + 1;
-  Heap.push t.heap ~time ~seq:t.seq f
+  if time <= t.now then begin
+    if t.ready_len = Array.length t.ready then grow_ready t;
+    let n = Array.length t.ready in
+    Array.unsafe_set t.ready ((t.ready_head + t.ready_len) land (n - 1)) f;
+    t.ready_len <- t.ready_len + 1
+  end
+  else Heap.push t.heap ~time ~seq:t.seq f
 
 type 'a resumer = { resume : 'a -> unit; abort : exn -> unit }
 
@@ -103,6 +142,9 @@ let exec t ?(root = false) ?name f =
 let create () =
   {
     heap = Heap.create ();
+    ready = Array.make 64 nop;
+    ready_head = 0;
+    ready_len = 0;
     now = 0;
     seq = 0;
     fibers = 0;
@@ -112,24 +154,25 @@ let create () =
     next_fiber = 0;
   }
 
-(* Pop events until the heap is empty. After a failure is recorded, keep
-   draining events scheduled for the *same* instant before stopping — the
-   root fiber may be queued right behind the failing background fiber,
-   and its own error (or completion) is the one the caller should see.
-   Events at a later time never run once a failure exists. *)
-let drain t =
-  let rec loop () =
-    match Heap.pop t.heap with
-    | None -> ()
-    | Some (time, _seq, run_event) ->
-      if t.failure <> None && time > t.now then ()
-      else begin
-        t.now <- time;
-        (try run_event () with e -> record_failure t ~root:false e);
-        loop ()
-      end
-  in
-  loop ()
+(* Run events until both queues are empty: at each instant, first the
+   heap's entries at [now], then the ring, and only then advance the clock
+   to the heap's next time. After a failure is recorded, keep running
+   events of the *same* instant before stopping — the root fiber may be
+   queued right behind the failing background fiber, and its own error
+   (or completion) is the one the caller should see. Events at a later
+   time never run once a failure exists. *)
+let rec drain t =
+  let heap = t.heap in
+  if Heap.min_time heap = t.now then step t (Heap.pop_exn heap)
+  else if t.ready_len > 0 then step t (take_ready t)
+  else if (not (Heap.is_empty heap)) && Option.is_none t.failure then begin
+    t.now <- Heap.min_time heap;
+    step t (Heap.pop_exn heap)
+  end
+
+and step t run_event =
+  (try run_event () with e -> record_failure t ~root:false e);
+  drain t
 
 (* Deadlock report: the historical one-liner about the root fiber, plus
    the names of any other fibers still registered (i.e. spawned with

@@ -8,9 +8,11 @@
     the engine pops the earliest pending event, sets the clock to its
     timestamp and resumes the fiber that was waiting on it.
 
-    Determinism: events scheduled for the same instant run in scheduling
-    order (FIFO), so a run is a pure function of the program and its PRNG
-    seeds.
+    Determinism: events run in [(time, seq)] order, where [seq] counts
+    schedules, so events for the same instant run in scheduling order
+    (FIFO) and a run is a pure function of the program and its PRNG seeds.
+    Events for the current instant skip the heap through a FIFO ring; the
+    heap's entries at [now] run before the ring's, which keeps this order.
 
     All functions below except {!run} must be called from inside a fiber of a
     running engine; calling them outside one raises [Failure]. *)

@@ -227,9 +227,18 @@ let test_chaos_sampling_deterministic () =
         (float s.s_kept_head <= Float.ceil (keep *. float s.s_healthy)));
     r
   in
-  ignore
-    (case ~clients:3 ~requests:12 ~workload:Fault.Chaos.Mixed
-       ~threshold_us:500 ~keep:0.2 ~seed:1234 ());
+  (* The mixed case is the one whose head bound is checked on real data:
+     it must see healthy requests. *)
+  let mixed =
+    case ~clients:3 ~requests:12 ~workload:Fault.Chaos.Mixed
+      ~threshold_us:500 ~keep:0.2 ~seed:1234 ()
+  in
+  (match mixed.Fault.Chaos.r_sampling with
+  | Some s -> check_bool "mixed case has healthy requests" true (s.s_healthy > 0)
+  | None -> Alcotest.fail "no sampling summary");
+  (* The copy case feeds the SLO checks below. All of its 24 requests fail
+     "process is dead" (its plan crashes a controller at 2.96 ms), so
+     healthy = 0 and its head bound holds vacuously. *)
   let r =
     case ~workload:Fault.Chaos.Copy ~threshold_us:2000 ~keep:0.25
       ~slo:(Obs.Slo.make ~latency:(Sim.Time.ms 1) "chaos")

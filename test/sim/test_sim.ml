@@ -119,7 +119,18 @@ let test_prng_fill_bytes () =
   let g' = Prng.create ~seed:9 in
   let b' = Bytes.create 256 in
   Prng.fill_bytes g' b';
-  check_bool "deterministic bytes" true (Bytes.equal b b')
+  check_bool "deterministic bytes" true (Bytes.equal b b');
+  (* the same bytes as [byte] drawn one by one, leaving the same state *)
+  let g'' = Prng.create ~seed:9 in
+  check_bool "bytes = successive Prng.byte" true
+    (Bytes.equal b (Bytes.init 256 (fun _ -> Prng.byte g'')));
+  check_bool "state after = state after bytes" true
+    (Prng.int64 g = Prng.int64 g'');
+  let big = Bytes.create 65536 in
+  let w0 = Gc.minor_words () in
+  Prng.fill_bytes g big;
+  let w1 = Gc.minor_words () in
+  check_bool "no allocation per byte" true (w1 -. w0 < 64.)
 
 (* ------------------------------------------------------------------ *)
 (* Time                                                               *)
@@ -1000,6 +1011,325 @@ let test_domains_map_first_failure_wins () =
   | exception Failure m ->
     Alcotest.(check string) "first by task order" "task-3" m
 
+(* ------------------------------------------------------------------ *)
+(* Heap: allocation-free core and payload release                     *)
+(* ------------------------------------------------------------------ *)
+
+let test_heap_pop_exn_min_time () =
+  let h = Heap.create () in
+  check_int "empty min_time" max_int (Heap.min_time h);
+  Heap.push h ~time:4 ~seq:2 "b";
+  Heap.push h ~time:4 ~seq:1 "a";
+  Heap.push h ~time:2 ~seq:3 "z";
+  check_int "min_time" 2 (Heap.min_time h);
+  Alcotest.(check string) "earliest" "z" (Heap.pop_exn h);
+  Alcotest.(check string) "seq breaks tie" "a" (Heap.pop_exn h);
+  Alcotest.(check string) "last" "b" (Heap.pop_exn h);
+  Alcotest.check_raises "pop_exn on empty"
+    (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
+      ignore (Heap.pop_exn h))
+
+(* Float payloads go through the uniform payload array boxed, never
+   flattened. *)
+let test_heap_float_payloads () =
+  let h = Heap.create () in
+  List.iteri (fun i x -> Heap.push h ~time:(10 - i) ~seq:i x) [ 1.5; 2.5; 3.5 ];
+  let p1 = Heap.pop_exn h in
+  let p2 = Heap.pop_exn h in
+  let p3 = Heap.pop_exn h in
+  Alcotest.(check (list (float 0.))) "floats" [ 3.5; 2.5; 1.5 ] [ p1; p2; p3 ]
+
+let[@inline never] push_tracked h w i =
+  let v = Bytes.make 64 'x' in
+  Weak.set w i (Some v);
+  Heap.push h ~time:i ~seq:i v
+
+(* A removed payload must not stay reachable from the heap: an event
+   closure left in its slot would keep the fiber stack and buffers it
+   captures alive. *)
+let test_heap_releases_payloads () =
+  let h = Heap.create () in
+  let w = Weak.create 3 in
+  for i = 0 to 2 do
+    push_tracked h w i
+  done;
+  ignore (Heap.pop_exn h : Bytes.t);
+  Gc.full_major ();
+  check_bool "popped payload collected" false (Weak.check w 0);
+  check_bool "queued payload kept" true (Weak.check w 1 && Weak.check w 2);
+  Heap.clear h;
+  Gc.full_major ();
+  check_bool "cleared payloads collected" false (Weak.check w 1 || Weak.check w 2);
+  check_int "heap still usable" 0 (Heap.length (Sys.opaque_identity h))
+
+let test_heap_push_pop_no_alloc () =
+  let h = Heap.create () in
+  for i = 0 to 999 do
+    Heap.push h ~time:(i * 7919 mod 1000) ~seq:i ()
+  done;
+  let n = 10_000 in
+  let seq = ref 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    let t = Heap.min_time h in
+    Heap.pop_exn h;
+    incr seq;
+    Heap.push h ~time:(t + 1000) ~seq:!seq ()
+  done;
+  let w1 = Gc.minor_words () in
+  check_int "depth kept" 1000 (Heap.length h);
+  Alcotest.(check (float 0.)) "minor words per push+pop" 0. ((w1 -. w0) /. float n)
+
+let[@inline never] schedule_tracked w ~delay =
+  let v = Bytes.make 64 'x' in
+  Weak.set w 0 (Some v);
+  Engine.schedule delay (fun () -> ignore (Sys.opaque_identity v))
+
+(* Same for the engine's queues: once an event has run, neither the
+   same-instant ring (delay 0) nor the heap (delay > 0) keeps it. *)
+let test_engine_releases_run_events () =
+  List.iter
+    (fun delay ->
+      let w = Weak.create 1 in
+      Engine.run (fun () ->
+          schedule_tracked w ~delay;
+          Engine.sleep (delay + 1);
+          Gc.full_major ();
+          check_bool
+            (Printf.sprintf "event at +%d collected" delay)
+            false (Weak.check w 0)))
+    [ 0; 5 ]
+
+(* ------------------------------------------------------------------ *)
+(* Engine vs a reference single-heap scheduler                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A random program: fibers of sleeps, yields, spawns, raw events and
+   ivar/channel operations. [drive] runs it on any scheduler and logs
+   every step with its fiber, position and instant. The engine must log
+   exactly what [Ref] logs: [Ref] keeps every event, same-instant or not,
+   in one list ordered by [(time, seq)], as the engine did before it had
+   a same-instant ring. *)
+type op =
+  | Sleep of int
+  | Yield
+  | Spawn of op list
+  | Sched of int
+  | Fill of int
+  | Await of int
+  | Send of int
+  | Recv of int
+
+let rec pp_op = function
+  | Sleep d -> Printf.sprintf "sleep %d" d
+  | Yield -> "yield"
+  | Spawn b -> "spawn [" ^ String.concat "; " (List.map pp_op b) ^ "]"
+  | Sched d -> Printf.sprintf "schedule %d" d
+  | Fill k -> Printf.sprintf "fill %d" k
+  | Await k -> Printf.sprintf "await %d" k
+  | Send c -> Printf.sprintf "send %d" c
+  | Recv c -> Printf.sprintf "recv %d" c
+
+let n_ivars = 3
+let n_chans = 2
+
+let gen_program =
+  let open QCheck.Gen in
+  let rec ops depth =
+    list_size (int_bound 8) (op depth)
+  and op depth =
+    frequency
+      ([
+         (3, map (fun d -> Sleep d) (int_bound 3));
+         (2, return Yield);
+         (2, map (fun d -> Sched d) (int_bound 1));
+         (1, map (fun k -> Fill k) (int_bound (n_ivars - 1)));
+         (1, map (fun k -> Await k) (int_bound (n_ivars - 1)));
+         (1, map (fun c -> Send c) (int_bound (n_chans - 1)));
+         (1, map (fun c -> Recv c) (int_bound (n_chans - 1)));
+       ]
+      @ if depth > 0 then [ (1, map (fun b -> Spawn b) (ops (depth - 1))) ] else [])
+  in
+  list_size (int_range 1 5) (ops 2)
+
+let arb_program =
+  QCheck.make gen_program ~print:(fun fibers ->
+      String.concat "\n"
+        (List.mapi
+           (fun i ops ->
+             Printf.sprintf "fiber %d: %s" i (String.concat "; " (List.map pp_op ops)))
+           fibers))
+
+type sched = {
+  now : unit -> int;
+  sleep : int -> unit;
+  spawn : (unit -> unit) -> unit;
+  schedule : int -> (unit -> unit) -> unit;
+  fill : int -> string -> bool;
+  await : int -> string;
+  send : int -> string -> unit;
+  recv : int -> string;
+}
+
+let drive s log fibers =
+  let rec fiber name ops =
+    List.iteri
+      (fun i op ->
+        let here = Printf.sprintf "%s.%d" name i in
+        let note what = log := Printf.sprintf "%d %s %s" (s.now ()) here what :: !log in
+        match op with
+        | Sleep d ->
+          s.sleep d;
+          note "woke"
+        | Yield ->
+          s.sleep 0;
+          note "yielded"
+        | Spawn body ->
+          s.spawn (fun () -> fiber here body);
+          note "spawned"
+        | Sched d ->
+          s.schedule d (fun () -> note "event");
+          note "scheduled"
+        | Fill k -> note (Printf.sprintf "fill %b" (s.fill k here))
+        | Await k -> note ("got " ^ s.await k)
+        | Send c ->
+          s.send c here;
+          note "sent"
+        | Recv c -> note ("recv " ^ s.recv c))
+      ops
+  in
+  List.iteri (fun i ops -> s.spawn (fun () -> fiber (string_of_int i) ops)) fibers
+
+let engine_log fibers =
+  let ivars = Array.init n_ivars (fun _ -> Ivar.create ()) in
+  let chans = Array.init n_chans (fun _ -> Channel.create ()) in
+  let s =
+    {
+      now = Engine.now;
+      sleep = Engine.sleep;
+      spawn = (fun f -> Engine.spawn f);
+      schedule = Engine.schedule;
+      fill = (fun k v -> Ivar.try_fill ivars.(k) v);
+      await = (fun k -> Ivar.await ivars.(k));
+      send = (fun c v -> Channel.send chans.(c) v);
+      recv = (fun c -> Channel.recv chans.(c));
+    }
+  in
+  let log = ref [] in
+  Engine.run (fun () -> drive s log fibers);
+  List.rev !log
+
+module Ref = struct
+  type _ Effect.t +=
+    | Sleep : int -> unit Effect.t
+    | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
+
+  type t = {
+    mutable now : int;
+    mutable seq : int;
+    mutable queue : (int * int * (unit -> unit)) list; (* sorted by (time, seq) *)
+  }
+
+  let schedule_at t ~time f =
+    t.seq <- t.seq + 1;
+    let e = (max time t.now, t.seq, f) in
+    let key (tm, sq, _) = (tm, sq) in
+    let rec insert = function
+      | x :: rest when compare (key x) (key e) < 0 -> x :: insert rest
+      | l -> e :: l
+    in
+    t.queue <- insert t.queue
+
+  let exec t f =
+    let open Effect.Deep in
+    match_with f ()
+      {
+        retc = Fun.id;
+        exnc = raise;
+        effc =
+          (fun (type a) (eff : a Effect.t) ->
+            match eff with
+            | Sleep d ->
+              Some
+                (fun (k : (a, unit) continuation) ->
+                  schedule_at t ~time:(t.now + max d 0) (fun () -> continue k ()))
+            | Suspend setup ->
+              Some
+                (fun (k : (a, unit) continuation) ->
+                  let used = ref false in
+                  setup (fun v ->
+                      if not !used then begin
+                        used := true;
+                        schedule_at t ~time:t.now (fun () -> continue k v)
+                      end))
+            | _ -> None);
+      }
+
+  let suspend setup = Effect.perform (Suspend setup)
+
+  let log fibers =
+    let t = { now = 0; seq = 0; queue = [] } in
+    let ivars = Array.init n_ivars (fun _ -> (ref None, Queue.create ())) in
+    let chans = Array.init n_chans (fun _ -> (Queue.create (), Queue.create ())) in
+    let s =
+      {
+        now = (fun () -> t.now);
+        sleep = (fun d -> Effect.perform (Sleep d));
+        spawn = (fun f -> schedule_at t ~time:t.now (fun () -> exec t f));
+        schedule = (fun d f -> schedule_at t ~time:(t.now + max d 0) f);
+        fill =
+          (fun k v ->
+            let value, waiters = ivars.(k) in
+            match !value with
+            | Some _ -> false
+            | None ->
+              value := Some v;
+              Queue.iter (fun w -> w v) waiters;
+              true);
+        await =
+          (fun k ->
+            let value, waiters = ivars.(k) in
+            match !value with
+            | Some v -> v
+            | None -> suspend (fun w -> Queue.add w waiters));
+        send =
+          (fun c v ->
+            let items, readers = chans.(c) in
+            match Queue.take_opt readers with
+            | Some r -> r v
+            | None -> Queue.add v items);
+        recv =
+          (fun c ->
+            let items, readers = chans.(c) in
+            match Queue.take_opt items with
+            | Some v -> v
+            | None -> suspend (fun r -> Queue.add r readers));
+      }
+    in
+    let log = ref [] in
+    schedule_at t ~time:0 (fun () -> exec t (fun () -> drive s log fibers));
+    let rec loop () =
+      match t.queue with
+      | [] -> ()
+      | (time, _, f) :: rest ->
+        t.queue <- rest;
+        t.now <- time;
+        f ();
+        loop ()
+    in
+    loop ();
+    List.rev !log
+end
+
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"engine order = reference (time, seq) scheduler"
+    ~count:500 arb_program (fun fibers ->
+      let got = engine_log fibers and want = Ref.log fibers in
+      if got <> want then
+        QCheck.Test.fail_reportf "engine:\n%s\nreference:\n%s"
+          (String.concat "\n" got) (String.concat "\n" want)
+      else true)
+
 let () =
   Alcotest.run "fractos_sim"
     [
@@ -1012,6 +1342,13 @@ let () =
           qtest prop_heap_total_order;
           qtest prop_heap_interleaved;
           qtest prop_heap_never_rewinds;
+          Alcotest.test_case "pop_exn and min_time" `Quick
+            test_heap_pop_exn_min_time;
+          Alcotest.test_case "float payloads" `Quick test_heap_float_payloads;
+          Alcotest.test_case "releases payloads" `Quick
+            test_heap_releases_payloads;
+          Alcotest.test_case "push+pop allocate nothing" `Quick
+            test_heap_push_pop_no_alloc;
         ] );
       ( "deadlock",
         [
@@ -1069,6 +1406,9 @@ let () =
           Alcotest.test_case "no nesting" `Quick test_engine_no_nesting;
           Alcotest.test_case "outside raises" `Quick test_engine_outside_raises;
           Alcotest.test_case "determinism" `Quick test_engine_determinism;
+          Alcotest.test_case "releases run events" `Quick
+            test_engine_releases_run_events;
+          qtest prop_engine_matches_reference;
         ] );
       ( "ivar",
         [

@@ -30,6 +30,13 @@ let test_db_layout () =
       (Bytes.equal (Bytes.sub db (i * 32) 32) (Facedata.image ~img_size:32 ~id:i))
   done
 
+(* Pins the database bytes across changes to [Prng.fill_bytes]: every
+   faceverify result and BENCH digest depends on them. *)
+let test_db_golden_digest () =
+  Alcotest.(check string)
+    "db digest" "dc50ead3ea6ea8ff7dec4ac8c575f367"
+    (Digest.to_hex (Digest.bytes (Facedata.db ~img_size:4096 ~n:64)))
+
 let test_probe_genuine_vs_impostor () =
   check_bool "genuine matches db" true
     (Bytes.equal
@@ -146,6 +153,7 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_images_deterministic;
           Alcotest.test_case "db layout" `Quick test_db_layout;
+          Alcotest.test_case "db golden digest" `Quick test_db_golden_digest;
           Alcotest.test_case "genuine vs impostor" `Quick
             test_probe_genuine_vs_impostor;
           Alcotest.test_case "ground truth alignment" `Quick
